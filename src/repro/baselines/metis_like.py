@@ -25,6 +25,8 @@ overloads in Fig. 4b while its weights are balanced.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.graph.adjacency import Adjacency
@@ -45,21 +47,23 @@ def _heavy_edge_matching(
     enough for the initial partition to balance (without it, hub-centric
     transaction graphs collapse into one giant unsplittable supernode).
     """
-    match = np.full(n, -1, dtype=np.int64)
+    ptr, ind, wl = indptr.tolist(), indices.tolist(), weights.tolist()
+    vwl = vw.tolist()
+    match = [-1] * n
     for v in range(n):
         if match[v] >= 0:
             continue
-        lo, hi = indptr[v], indptr[v + 1]
-        nbr, w = indices[lo:hi], weights[lo:hi]
-        ok = (match[nbr] < 0) & (nbr != v) & (vw[nbr] + vw[v] <= max_vw)
-        nbr, w = nbr[ok], w[ok]
-        if nbr.size:
-            u = int(nbr[np.argmax(w)])  # first max -> smallest index tie-break
-            match[v] = v
-            match[u] = v
-        else:
-            match[v] = v
-    _, compact = np.unique(match, return_inverse=True)
+        match[v] = v  # also keeps v from matching itself
+        vw_v = vwl[v]
+        # Strict > over ascending neighbour indices: ties go to the
+        # smallest index.
+        best_u, best_w = -1, -math.inf
+        for u, w in zip(ind[ptr[v] : ptr[v + 1]], wl[ptr[v] : ptr[v + 1]]):
+            if w > best_w and match[u] < 0 and vwl[u] + vw_v <= max_vw:
+                best_u, best_w = u, w
+        if best_u >= 0:
+            match[best_u] = v
+    _, compact = np.unique(np.array(match, dtype=np.int64), return_inverse=True)
     return compact
 
 
@@ -157,37 +161,46 @@ def _refine(
     cap: float,
     passes: int,
 ) -> np.ndarray:
-    """Boundary FM-style refinement: positive-gain moves under the cap."""
-    n = len(labels)
-    part_w = np.bincount(labels, weights=vw, minlength=k)
+    """Boundary FM-style refinement: positive-gain moves under the cap.
+
+    Fused pure-Python loop, like Louvain's sweep: per-part weights are
+    summed in CSR order and parts scanned in ascending label order with a
+    strict ``>``, so the best-gain part that fits the cap wins and ties
+    go to the smallest part label.
+    """
+    ptr, ind, wl = indptr.tolist(), indices.tolist(), weights.tolist()
+    vwl = vw.tolist()
+    lab = labels.tolist()
+    part_w = np.bincount(labels, weights=vw, minlength=k).tolist()
     for _ in range(passes):
         moved = 0
-        for v in range(n):
-            lo, hi = indptr[v], indptr[v + 1]
-            nbr, w = indices[lo:hi], weights[lo:hi]
-            if not nbr.size:
+        for v in range(len(lab)):
+            acc: dict[int, float] = {}
+            for u, w in zip(ind[ptr[v] : ptr[v + 1]], wl[ptr[v] : ptr[v + 1]]):
+                q = lab[u]
+                acc[q] = acc.get(q, 0.0) + w
+            p = lab[v]
+            own = acc.get(p, 0.0)
+            vw_v = vwl[v]
+            best_q, best_gain = -1, -math.inf
+            for q in sorted(acc):
+                gain = acc[q] - own
+                if (
+                    q != p
+                    and gain > 1e-12
+                    and part_w[q] + vw_v <= cap
+                    and gain > best_gain
+                ):
+                    best_q, best_gain = q, gain
+            if best_q < 0:
                 continue
-            p = labels[v]
-            labs = labels[nbr]
-            if (labs == p).all():
-                continue
-            uniq, inv = np.unique(labs, return_inverse=True)
-            wsum = np.bincount(inv, weights=w)
-            own = float(wsum[uniq == p].sum())
-            gains = wsum - own
-            fits = part_w[uniq] + vw[v] <= cap
-            cand = (uniq != p) & fits & (gains > 1e-12)
-            if not cand.any():
-                continue
-            j = int(np.argmax(np.where(cand, gains, -np.inf)))
-            q = int(uniq[j])
-            part_w[p] -= vw[v]
-            part_w[q] += vw[v]
-            labels[v] = q
+            part_w[p] -= vw_v
+            part_w[best_q] += vw_v
+            lab[v] = best_q
             moved += 1
         if not moved:
             break
-    return labels
+    return np.array(lab, dtype=np.int64)
 
 
 def metis_like(

@@ -15,6 +15,7 @@ list; this module gives it a compact, deterministic in-memory shape:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -43,10 +44,14 @@ class Adjacency:
     def n(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def strength(self) -> np.ndarray:
-        """s_v: total incident weight excluding self-loops."""
-        return np.bincount(self.ev, weights=self.ew, minlength=self.n)
+        """s_v: total incident weight excluding self-loops.
+
+        Computed once and shared by every caller, so it is read-only."""
+        s = np.bincount(self.ev, weights=self.ew, minlength=self.n)
+        s.flags.writeable = False
+        return s
 
     @property
     def total_weight(self) -> float:

@@ -14,6 +14,8 @@ Levels coarsen communities into supernodes until a sweep makes no moves.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.graph.adjacency import Adjacency
@@ -41,44 +43,56 @@ def _sweep_until_stable(
     m2: float,
     max_sweeps: int,
 ) -> tuple[np.ndarray, bool]:
-    """Run local-move sweeps on one level; returns (labels, any_move)."""
-    n = len(indptr) - 1
-    labels = np.arange(n, dtype=np.int64)
-    comm_deg = deg.copy()
+    """Run local-move sweeps on one level; returns (labels, any_move).
+
+    A fused pure-Python loop over list copies of the CSR: most nodes of a
+    transaction graph have a handful of neighbours, so per-node numpy
+    calls (~25 µs each) would cost far more than the work itself.
+    Neighbour weights are summed per community in CSR order and
+    candidates are scanned in ascending label order with a strict ``>``,
+    so ties go to the smallest label. Both orders fix every float
+    rounding; ``tests/test_golden_labels.py`` pins the labels byte for
+    byte.
+    """
+    ptr, ind, wl = indptr.tolist(), indices.tolist(), weights.tolist()
+    dl = deg.tolist()
+    n = len(ptr) - 1
+    labels = list(range(n))
+    comm_deg = list(dl)
     any_move = False
     for _ in range(max_sweeps):
         moved = 0
         for v in range(n):
-            lo, hi = indptr[v], indptr[v + 1]
-            nbr = indices[lo:hi]
-            w = weights[lo:hi]
+            lo, hi = ptr[v], ptr[v + 1]
             c_old = labels[v]
-            comm_deg[c_old] -= deg[v]
-            if nbr.size:
-                labs = labels[nbr]
-                uniq, inv = np.unique(labs, return_inverse=True)
-                wsum = np.bincount(inv, weights=w)
-                gains = wsum - deg[v] * comm_deg[uniq] / m2
-                j = int(np.argmax(gains))  # first max -> smallest label wins ties
-                best, best_gain = int(uniq[j]), float(gains[j])
-            else:
-                best, best_gain = c_old, -np.inf
-            own_pos = np.searchsorted(uniq, c_old) if nbr.size else 0
-            if nbr.size and own_pos < len(uniq) and uniq[own_pos] == c_old:
-                own_gain = float(gains[own_pos])
-            else:
-                own_gain = -deg[v] * comm_deg[c_old] / m2
+            d_v = dl[v]
+            # Remove v from its community before scoring. The subtract/add
+            # pair stays even when v does not move: (a - d) + d need not
+            # round back to a, and the pinned labels depend on it.
+            comm_deg[c_old] -= d_v
+            acc: dict[int, float] = {}
+            for u, w in zip(ind[lo:hi], wl[lo:hi]):
+                c = labels[u]
+                acc[c] = acc.get(c, 0.0) + w
+            best, best_gain = c_old, -math.inf
+            own_gain = -d_v * comm_deg[c_old] / m2
+            for c in sorted(acc):
+                gain = acc[c] - d_v * comm_deg[c] / m2
+                if c == c_old:
+                    own_gain = gain
+                if gain > best_gain:
+                    best, best_gain = c, gain
             if best_gain > own_gain + 1e-12 and best != c_old:
                 labels[v] = best
-                comm_deg[best] += deg[v]
+                comm_deg[best] += d_v
                 moved += 1
             else:
-                comm_deg[c_old] += deg[v]
+                comm_deg[c_old] += d_v
         if moved:
             any_move = True
         else:
             break
-    return labels, any_move
+    return np.array(labels, dtype=np.int64), any_move
 
 
 def _coarsen(

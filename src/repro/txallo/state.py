@@ -115,7 +115,10 @@ class TxAlloState:
     # nodes that dominate transaction graphs, per-node numpy-call
     # overhead (~25 µs) dwarfs the actual work; the fused path runs an
     # order of magnitude faster and is bit-identical in its decisions
-    # (ties broken toward the smallest shard label in both).
+    # (ties broken toward the smallest shard label in both). Louvain's
+    # local-move sweep and the METIS-like matching and refinement use
+    # the same pattern: sum weights per label in CSR order, then scan
+    # labels in ascending order with a strict `>`.
 
     def _ensure_fast(self) -> None:
         if hasattr(self, "_ind_l"):

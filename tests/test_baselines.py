@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines import hash_alloc, metis_like, shard_scheduler
+from repro.baselines.metis_like import _csr, _heavy_edge_matching, _refine
 from repro.graph import adjacency_from_pandas
 from repro.metrics.blockchain import rollup
 from repro.metrics.graphlevel import graph_gamma
@@ -85,6 +86,42 @@ class TestMetisLike:
         adj = adjacency_from_pandas(two_cliques_edges(n=3, bridge_w=0.5))
         labels = metis_like(adj, 2, coarsen_to=2)
         assert labels.max() < 2
+
+
+def _csr_of(n, edges):
+    """CSR arrays of an undirected ``(v, u, w)`` edge list, both directions."""
+    ev, eu, ew = (np.array(c) for c in zip(*edges))
+    return _csr(n, np.concatenate([ev, eu]), np.concatenate([eu, ev]), np.concatenate([ew, ew]))
+
+
+class TestMetisKernels:
+    # Node 0's neighbours 1, 2, 3 with weights 1, 2, 2: a tie for heaviest.
+    STAR = [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 2.0)]
+
+    def test_matching_tie_goes_to_smallest_neighbour(self):
+        cmap = _heavy_edge_matching(4, *_csr_of(4, self.STAR), np.ones(4), 2.0)
+        np.testing.assert_array_equal(cmap, [0, 1, 0, 2])
+
+    def test_matching_rejects_overweight_pair(self):
+        vw = np.array([1.0, 1.0, 1.5, 1.0])
+        cmap = _heavy_edge_matching(4, *_csr_of(4, self.STAR), vw, 2.0)
+        np.testing.assert_array_equal(cmap, [0, 1, 2, 0])  # 0+2 weighs 2.5
+
+    def test_matching_leaves_node_alone_when_every_pair_is_too_heavy(self):
+        cmap = _heavy_edge_matching(4, *_csr_of(4, self.STAR), np.full(4, 1.5), 2.0)
+        np.testing.assert_array_equal(cmap, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "w_to_2, cap, part_of_0", [(2.0, 100.0, 1), (2.0, 5.5, 2), (3.0, 100.0, 1)]
+    )
+    def test_refine_takes_best_part_that_fits(self, w_to_2, cap, part_of_0):
+        # Node 0 (part 0) has edge weight 3.0 into part 1 and w_to_2 into
+        # part 2. Part 1 weighs 5, so under cap 5.5 node 0 (weight 1) only
+        # fits part 2; equal gains go to the smaller part label.
+        csr = _csr_of(3, [(0, 1, 3.0), (0, 2, w_to_2)])
+        vw = np.array([1.0, 5.0, 1.0])
+        labels = _refine(np.array([0, 1, 2]), *csr, vw, 3, cap, passes=1)
+        assert labels[0] == part_of_0
 
 
 class TestShardScheduler:

@@ -42,6 +42,16 @@ class TestCanonicalGraphs:
         labels = louvain(adj)
         assert labels[0] == labels[1]  # merging the pair maximizes Q
 
+    def test_tie_joins_smaller_label(self):
+        # Node 6 hangs between two identical triangles by equal bridges.
+        # It is swept last, when both triangles have formed; its gains for
+        # the two are bit-equal, and the tie goes to the smaller label.
+        rows = [(b + i, b + j, 1.0) for b in (0, 3) for i in range(3) for j in range(i + 1, 3)]
+        rows += [(0, 6, 0.5), (3, 6, 0.5)]
+        adj = adjacency_from_pandas(pd.DataFrame(rows, columns=["src", "dst", "weight"]))
+        labels = louvain(adj)
+        assert labels[6] == labels[0] != labels[3]
+
     def test_self_loop_only_graph(self):
         adj = adjacency_from_pandas(
             pd.DataFrame({"src": [0, 1], "dst": [0, 1], "weight": [1.0, 2.0]})
