@@ -1,5 +1,5 @@
-"""T3 bench (Fig. 4): per-shard workload distribution via the pandas
-evaluator (the per-step engine of the adaptive sim)."""
+"""T3 bench (Fig. 4): per-shard workload distribution via the numpy
+driver-core evaluator (the per-step engine of the adaptive sim)."""
 from benchmarks.conftest import ETA, K
 
 

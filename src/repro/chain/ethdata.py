@@ -21,8 +21,8 @@ features the evaluation depends on (paper Fig. 1):
 - **block-sequenced chronology** so the adaptive experiments (Figs. 9-10)
   can step through time, with accounts first appearing mid-stream.
 
-Scale factor semantics follow ``repro.synth_data``: SF=0.1 ~ 200k txs /
-~30k candidate accounts; tests use SF<=0.01.
+Scale factor: SF=1.0 is 2M txs over 300k candidate accounts in 2,000
+blocks, so SF=0.1 ~ 200k txs / ~30k accounts; tests use SF<=0.025.
 """
 from __future__ import annotations
 

@@ -65,13 +65,19 @@ class Adjacency:
 
     def index_of(self, accounts: np.ndarray) -> np.ndarray:
         """Map account ids to node indices (must all be present)."""
-        idx = np.searchsorted(self.nodes, accounts)
-        if np.any(idx >= self.n) or np.any(self.nodes[np.minimum(idx, self.n - 1)] != accounts):
-            missing = np.asarray(accounts)[
-                (idx >= self.n) | (self.nodes[np.minimum(idx, self.n - 1)] != accounts)
-            ]
-            raise KeyError(f"accounts not in graph: {missing[:5]}...")
-        return idx
+        return index_of(self.nodes, accounts)
+
+
+def index_of(nodes: np.ndarray, accounts: np.ndarray) -> np.ndarray:
+    """Positions of ``accounts`` in the sorted ``nodes``; ``KeyError``
+    when any account is missing."""
+    accounts = np.asarray(accounts)
+    idx = np.searchsorted(nodes, accounts)
+    found = idx < len(nodes)
+    found[found] = nodes[idx[found]] == accounts[found]
+    if not found.all():
+        raise KeyError(f"accounts not in graph: {accounts[~found][:5]}...")
+    return idx
 
 
 def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
@@ -95,21 +101,28 @@ def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
     eu = np.concatenate([ndi, nsi])
     ew = np.concatenate([nw, nw])
 
-    order = np.lexsort((eu, ev))
-    ev, eu, ew = ev[order], eu[order], ew[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, ev + 1, 1)
-    indptr = np.cumsum(indptr)
+    indptr, eu, ew = csr(n, ev, eu, ew)
     return Adjacency(
         nodes=nodes,
         indptr=indptr,
         indices=eu.copy(),
         weights=ew.copy(),
         self_w=self_w,
-        ev=ev,
+        ev=np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)),
         eu=eu,
         ew=ew,
     )
+
+
+def csr(
+    n: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, weights)`` of ``n`` nodes from directed edge
+    arrays; each row's neighbours are in ascending node order."""
+    order = np.lexsort((eu, ev))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, ev + 1, 1)
+    return np.cumsum(indptr), eu[order], ew[order]
 
 
 def to_adjacency(edges_df: DataFrame) -> Adjacency:

@@ -65,7 +65,11 @@ def shard_stats(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
     (explode of the shard set), counting 1 intra or 1 cross transaction
     and ``1/μ`` of throughput (§III-B's redundant-counting rule).
     """
-    mu_df = tx_mu(tx_df, alloc_df)
+    return _per_shard(tx_mu(tx_df, alloc_df))
+
+
+def _per_shard(mu_df: DataFrame) -> DataFrame:
+    """:func:`shard_stats` over a :func:`tx_mu` frame."""
     per_shard = mu_df.select(
         "tx_id", "mu", F.explode("shards").alias("shard")
     )
@@ -115,16 +119,7 @@ def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> tuple[int, int, pd.D
     mu_df = tx_mu(tx_df, alloc_df).cache()
     try:
         n_cross = mu_df.filter(F.col("mu") > 1).count()
-        per_shard = mu_df.select("tx_id", "mu", F.explode("shards").alias("shard"))
-        stats = (
-            per_shard.groupBy("shard")
-            .agg(
-                F.sum(F.when(F.col("mu") == 1, 1).otherwise(0)).alias("n_intra"),
-                F.sum(F.when(F.col("mu") > 1, 1).otherwise(0)).alias("n_cross"),
-                F.sum(1.0 / F.col("mu")).alias("lam_hat"),
-            )
-            .toPandas()
-        )
+        stats = _per_shard(mu_df).toPandas()
     finally:
         mu_df.unpersist()
     return n_txs, n_cross, stats

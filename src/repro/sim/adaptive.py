@@ -15,8 +15,9 @@ mapping with per-step capacity λ = |T_step|/k. Per-step algorithm run
 time is recorded (graph maintenance excluded, as in the paper, which
 reports algorithm execution time).
 
-The per-step dataflow is pandas (equivalence-tested mirrors of the Spark
-builders) because a Spark job per step would dominate the measured
+The per-step graph build and evaluation run on the numpy driver core
+(bit-exact to the loop reference in tests, equivalence-tested against
+Spark) because a Spark job per step would dominate the measured
 sub-second A-TxAllo run times — see DESIGN.md §5.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 import pandas as pd
 
 from repro.graph.adjacency import Adjacency, adjacency_from_pandas
-from repro.graph.build_pandas import build_tx_graph_pandas
+from repro.graph.build_pandas import build_tx_graph_pandas, tx_accounts
 from repro.metrics.pandas_eval import evaluate_pandas
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
@@ -46,8 +47,7 @@ class _VariantState:
 
 
 def _hot_nodes(adj: Adjacency, step_pdf: pd.DataFrame) -> np.ndarray:
-    accs = np.unique(np.concatenate([np.asarray(a, dtype=np.int64) for a in step_pdf["accounts"]]))
-    return adj.index_of(accs)
+    return adj.index_of(np.unique(tx_accounts(step_pdf)[1]))
 
 
 def adaptive_simulation(

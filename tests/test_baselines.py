@@ -4,8 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.baselines import hash_alloc, metis_like, shard_scheduler
-from repro.baselines.metis_like import _csr, _heavy_edge_matching, _refine
+from repro.baselines.metis_like import _heavy_edge_matching, _refine
 from repro.graph import adjacency_from_pandas
+from repro.graph.adjacency import csr
 from repro.metrics.blockchain import rollup
 from repro.metrics.graphlevel import graph_gamma
 from tests.conftest import two_cliques_edges
@@ -91,7 +92,7 @@ class TestMetisLike:
 def _csr_of(n, edges):
     """CSR arrays of an undirected ``(v, u, w)`` edge list, both directions."""
     ev, eu, ew = (np.array(c) for c in zip(*edges))
-    return _csr(n, np.concatenate([ev, eu]), np.concatenate([eu, ev]), np.concatenate([ew, ew]))
+    return csr(n, np.concatenate([ev, eu]), np.concatenate([eu, ev]), np.concatenate([ew, ew]))
 
 
 class TestMetisKernels:

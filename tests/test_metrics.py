@@ -1,7 +1,7 @@
 """Tests for transaction-level metrics (§III-A/B): pandas + Spark + oracle.
 
 The tiny 8-tx stream admits full hand computation; the generated stream
-checks the Spark pipeline against both the pandas mirror and DuckDB.
+checks the Spark pipeline against both the numpy driver core and DuckDB.
 """
 import numpy as np
 import pandas as pd
@@ -84,7 +84,13 @@ class TestTinyHandComputed:
 class TestPandasMirror:
     def test_tiny_matches_spark(self, tiny_df, tiny_alloc_df):
         m_s = evaluate(tiny_df, tiny_alloc_df, k=2, eta=2.0)
-        m_p = evaluate_pandas(tiny_tx_pdf(), TINY_ALLOC, k=2, eta=2.0)
+        m_p = evaluate_pandas(
+            tiny_tx_pdf(),
+            np.array(list(TINY_ALLOC.values())),
+            k=2,
+            eta=2.0,
+            accounts=np.array(list(TINY_ALLOC)),
+        )
         assert m_p.gamma == m_s.gamma
         np.testing.assert_allclose(m_p.sigmas, m_s.sigmas)
         assert m_p.throughput == pytest.approx(m_s.throughput)
@@ -103,14 +109,6 @@ class TestPandasMirror:
         assert m_p.throughput == pytest.approx(m_s.throughput)
         assert m_p.worst_latency == m_s.worst_latency
 
-    def test_dict_and_array_forms_agree(self, tx_pdf, adj):
-        labels = hash_alloc(adj.nodes, 4)
-        as_dict = {int(a): int(s) for a, s in zip(adj.nodes, labels)}
-        m_a = evaluate_pandas(tx_pdf, labels, k=4, eta=2.0, accounts=adj.nodes)
-        m_d = evaluate_pandas(tx_pdf, as_dict, k=4, eta=2.0)
-        assert m_a.gamma == m_d.gamma
-        np.testing.assert_allclose(m_a.sigmas, m_d.sigmas)
-
     def test_array_form_requires_accounts(self, tx_pdf):
         with pytest.raises(ValueError):
             evaluate_pandas(tx_pdf, np.zeros(3, dtype=int), k=2, eta=2.0)
@@ -118,7 +116,7 @@ class TestPandasMirror:
     def test_missing_account_raises(self):
         pdf = tiny_tx_pdf()
         with pytest.raises(KeyError):
-            evaluate_pandas(pdf, {1: 0}, k=2, eta=2.0)
+            evaluate_pandas(pdf, np.array([0]), k=2, eta=2.0, accounts=np.array([1]))
 
 
 class TestRollupPlumbing:
