@@ -16,10 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+
+
+class CSRLists(NamedTuple):
+    """The CSR as tuples of Python scalars for the pure-Python sweep
+    kernels, where indexing a tuple costs a fraction of reading a numpy
+    scalar."""
+
+    indptr: tuple[int, ...]
+    indices: tuple[int, ...]
+    weights: tuple[float, ...]
+    self_w: tuple[float, ...]
+    strength: tuple[float, ...]
 
 
 @dataclass
@@ -52,6 +65,13 @@ class Adjacency:
         s = np.bincount(self.ev, weights=self.ew, minlength=self.n)
         s.flags.writeable = False
         return s
+
+    @cached_property
+    def lists(self) -> CSRLists:
+        """The CSR as tuples, converted once and shared by every kernel run
+        on this graph (G-/A-TxAllo sweeps, Louvain's first level)."""
+        arrays = (self.indptr, self.indices, self.weights, self.self_w, self.strength)
+        return CSRLists(*(tuple(a.tolist()) for a in arrays))
 
     @property
     def total_weight(self) -> float:
@@ -119,7 +139,9 @@ def csr(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(indptr, indices, weights)`` of ``n`` nodes from directed edge
     arrays; each row's neighbours are in ascending node order."""
-    order = np.lexsort((eu, ev))
+    # Sort by (ev, eu) through one packed key; stable, so equal pairs keep
+    # their input order.
+    order = np.argsort(ev * n + eu, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, ev + 1, 1)
     return np.cumsum(indptr), eu[order], ew[order]

@@ -15,6 +15,7 @@ Levels coarsen communities into supernodes until a sweep makes no moves.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -36,16 +37,17 @@ def modularity(adj: Adjacency, labels: np.ndarray) -> float:
 
 
 def _sweep_until_stable(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    deg: np.ndarray,
+    ptr: Sequence[int],
+    ind: Sequence[int],
+    wl: Sequence[float],
+    dl: list[float],
     m2: float,
     max_sweeps: int,
 ) -> tuple[np.ndarray, bool]:
     """Run local-move sweeps on one level; returns (labels, any_move).
 
-    A fused pure-Python loop over list copies of the CSR: most nodes of a
+    A fused pure-Python loop over Python copies of the CSR
+    ``(indptr, indices, weights)`` and the node degrees: most nodes of a
     transaction graph have a handful of neighbours, so per-node numpy
     calls (~25 µs each) would cost far more than the work itself.
     Neighbour weights are summed per community in CSR order and
@@ -54,8 +56,6 @@ def _sweep_until_stable(
     rounding; ``tests/test_golden_labels.py`` pins the labels byte for
     byte.
     """
-    ptr, ind, wl = indptr.tolist(), indices.tolist(), weights.tolist()
-    dl = deg.tolist()
     n = len(ptr) - 1
     labels = list(range(n))
     comm_deg = list(dl)
@@ -124,21 +124,21 @@ def louvain(adj: Adjacency, *, max_levels: int = 20, max_sweeps: int = 20) -> np
     Deterministic; the number of communities is data-driven (typically
     ≫ k for long-tailed transaction graphs, per the paper §V-B).
     """
-    n = adj.n
-    ev, eu, ew = adj.ev.copy(), adj.eu.copy(), adj.ew.copy()
-    self_w = adj.self_w.copy()
-    result = np.arange(n, dtype=np.int64)
+    ev, eu, ew, self_w = adj.ev, adj.eu, adj.ew, adj.self_w
+    result = np.arange(adj.n, dtype=np.int64)
+    # The first level sweeps the graph's own cached CSR lists; each
+    # coarser level builds its CSR from the aggregated edges.
+    ptr, ind, wl = adj.lists.indptr, adj.lists.indices, adj.lists.weights
 
-    for _ in range(max_levels):
+    for level in range(max_levels):
         nn = len(self_w)
         deg = np.bincount(ev, weights=ew, minlength=nn) + 2.0 * self_w
         m2 = float(deg.sum())
         if m2 <= 0:
             break
-        indptr, indices, weights = csr(nn, ev, eu, ew)
-        labels, any_move = _sweep_until_stable(
-            indptr, indices, weights, deg, m2, max_sweeps
-        )
+        if level:
+            ptr, ind, wl = (a.tolist() for a in csr(nn, ev, eu, ew))
+        labels, any_move = _sweep_until_stable(ptr, ind, wl, deg.tolist(), m2, max_sweeps)
         node_map, ev, eu, ew, self_w = _coarsen(labels, ev, eu, ew, self_w)
         result = _compose(result, labels, node_map)
         if not any_move or len(self_w) == nn:

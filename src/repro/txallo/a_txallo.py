@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Adjacency
-from repro.txallo.g_txallo import _assign_by_join, _optimize
 from repro.txallo.state import TxAlloState
 
 
@@ -63,6 +62,5 @@ def a_txallo(
 
     state = TxAlloState(adj, prev_labels, k, eta=eta, lam=lam)
     new_nodes = hot[prev_labels[hot] < 0]  # ascending order => deterministic
-    _assign_by_join(state, new_nodes)
-    _optimize(state, hot, eps, max_sweeps)
+    state.sweep(new_nodes, hot, eps, max_sweeps)
     return state.labels

@@ -24,8 +24,6 @@ from repro.louvain import louvain
 from repro.metrics.graphlevel import community_state
 from repro.txallo.state import TxAlloState
 
-_ALL_K = "all"
-
 
 def _rank_communities(init: np.ndarray, sigma_init: np.ndarray, k: int) -> np.ndarray:
     """Map Louvain labels to shard labels: the k largest-σ communities get
@@ -35,37 +33,6 @@ def _rank_communities(init: np.ndarray, sigma_init: np.ndarray, k: int) -> np.nd
     rank[order] = np.arange(len(order))
     shard_of_comm = np.where(rank < k, rank, -1)
     return shard_of_comm[init]
-
-
-def _assign_by_join(state: TxAlloState, nodes: np.ndarray) -> None:
-    """Absorb unassigned nodes by max join gain (Alg. 1 lines 2-9 /
-    Alg. 2 lines 1-8). ℂ_v = connected shards, or all k when none."""
-    for v in nodes:
-        r = state.best_move(int(v), join_only=True)
-        if r is None:
-            continue
-        q, _gain, w_vq, w_vp = r
-        state.move(int(v), q, w_vq, w_vp)
-
-
-def _optimize(
-    state: TxAlloState, nodes: np.ndarray, eps: float, max_sweeps: int
-) -> int:
-    """Local-move sweeps (Alg. 1 lines 10-19); returns sweeps executed."""
-    sweeps = 0
-    delta = np.inf
-    while delta >= eps and sweeps < max_sweeps:
-        delta = 0.0
-        for v in nodes:
-            r = state.best_move(int(v))
-            if r is None:
-                continue
-            q, gain, w_vq, w_vp = r
-            if gain > 0.0:
-                state.move(int(v), q, w_vq, w_vp)
-                delta += gain
-        sweeps += 1
-    return sweeps
 
 
 def g_txallo(
@@ -93,6 +60,5 @@ def g_txallo(
 
     state = TxAlloState(adj, labels, k, eta=eta, lam=lam)
     small = np.nonzero(labels < 0)[0]  # ascending node order => deterministic
-    _assign_by_join(state, small)
-    _optimize(state, np.arange(adj.n), eps, max_sweeps)
+    state.sweep(small, np.arange(adj.n), eps, max_sweeps)
     return state.labels

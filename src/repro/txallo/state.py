@@ -19,6 +19,8 @@ be for the state to stay consistent under arbitrary move sequences).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.graph.adjacency import Adjacency
@@ -107,106 +109,135 @@ class TxAlloState:
         """Δ_(v,p,q) Λ = Δ_leave Λ_p + Δ_join Λ_q (Eq. 8), per target."""
         return self.leave_gain(v) + self.join_gain(v, targets, w_vq)
 
-    # -- fused fast path ---------------------------------------------------
+    # -- fused sweep kernel -----------------------------------------------
     #
-    # The numpy methods above are the readable reference (and the test
-    # oracle); the sweep loops call `best_move`, a fused pure-Python
-    # version of candidate aggregation + Eq. (8). For the low-degree
-    # nodes that dominate transaction graphs, per-node numpy-call
-    # overhead (~25 µs) dwarfs the actual work; the fused path runs an
-    # order of magnitude faster and is bit-identical in its decisions
-    # (ties broken toward the smallest shard label in both). Louvain's
-    # local-move sweep and the METIS-like matching and refinement use
-    # the same pattern: sum weights per label in CSR order, then scan
-    # labels in ascending order with a strict `>`.
+    # The numpy methods above and `move` below are the readable reference
+    # (and the test oracle); G- and A-TxAllo run `sweep`, which fuses
+    # candidate aggregation, Eq. (8) and the move into one pure-Python
+    # loop over Python copies of the labels, σ and Λ̂ and the graph's
+    # cached `Adjacency.lists`. For the low-degree nodes that dominate
+    # transaction graphs, per-node numpy calls and numpy-scalar reads
+    # cost far more than the work itself. Decisions and state are
+    # bit-identical to the reference: weights are summed per label in
+    # CSR order, labels are scanned in ascending order with a strict `>`
+    # (ties go to the smallest shard label) and every expression keeps
+    # the reference's operand order. Louvain's local-move sweep and the
+    # METIS-like matching and refinement use the same pattern.
 
-    def _ensure_fast(self) -> None:
-        if hasattr(self, "_ind_l"):
-            return
-        self._ind_l = self.adj.indices.tolist()
-        self._w_l = self.adj.weights.tolist()
-        self._indptr_l = self.adj.indptr.tolist()
-        self._self_l = self.adj.self_w.tolist()
-        self._s_l = self._s.tolist()
+    def sweep(
+        self, join_nodes: np.ndarray, opt_nodes: np.ndarray, eps: float, max_sweeps: int
+    ) -> int:
+        """Absorb ``join_nodes``, then run local-move sweeps over
+        ``opt_nodes``; returns the number of sweeps executed.
 
-    def _clip1(self, sig: float, lh: float) -> float:
-        if sig <= self.lam:
-            return lh
-        return self.lam / sig * lh
+        Join phase (Alg. 1 lines 2-9 / Alg. 2 lines 1-8): each join node,
+        in the given order, moves to the candidate community ℂ_v (Eq. 9;
+        all ``k`` when it has no assigned neighbour) with the largest join
+        gain (Eq. 6). Sweeps (Alg. 1 lines 10-19): each node, in the given
+        order, moves to its candidate with the largest total gain (Eq. 8)
+        when that gain is positive; sweeping stops when a sweep's summed
+        gain ΔΛ falls below ``eps`` or after ``max_sweeps`` sweeps.
+        """
+        ptr, ind, wl, self_l, s_l = self.adj.lists
+        labels = self.labels.tolist()
+        sigma = self.sigma.tolist()
+        lam_hat = self.lam_hat.tolist()
+        eta, lam, all_k = self.eta, self.lam, range(self.k)
 
-    def best_move(
-        self, v: int, *, join_only: bool = False
-    ) -> tuple[int, float, float, float] | None:
-        """The best target for node v: ``(q, gain, w_vq, w_vp)`` per
-        Eq. (8) (or Eq. (6) when ``join_only`` — the init/new-node
-        phase, where the leave side is skipped and empty ℂ_v falls back
-        to all k). ``w_vp`` is v's weight into its current community,
-        returned so the subsequent :meth:`move` avoids recomputing it.
-
-        Returns None when ℂ_v is empty and ``join_only`` is False (the
-        node stays, Alg. 1 line 13's skip)."""
-        self._ensure_fast()
-        labels = self.labels
-        sigma, lam_hat = self.sigma, self.lam_hat
-        p = int(labels[v])
-        lo, hi = self._indptr_l[v], self._indptr_l[v + 1]
-        acc: dict[int, float] = {}
-        w_own = 0.0
-        ind, wl = self._ind_l, self._w_l
-        for i in range(lo, hi):
-            lu = int(labels[ind[i]])
-            if lu < 0:
-                continue
-            if lu == p:
-                w_own += wl[i]
-            else:
-                acc[lu] = acc.get(lu, 0.0) + wl[i]
-        if not acc:
-            if not join_only:
-                return None
-            acc = {q: 0.0 for q in range(self.k)}
-            acc.pop(p, None)
+        def best(v: int, join: bool) -> tuple[int, float, float, float] | None:
+            """``(q, gain, w_vq, w_vp)`` of v's best target; None when ℂ_v
+            is empty outside the join phase (Alg. 1 line 13's skip)."""
+            p = labels[v]
+            lo, hi = ptr[v], ptr[v + 1]
+            acc: dict[int, float] = {}
+            w_own = 0.0
+            for u, w in zip(ind[lo:hi], wl[lo:hi]):
+                lu = labels[u]
+                if lu < 0:
+                    continue
+                if lu == p:
+                    w_own += w
+                else:
+                    acc[lu] = acc.get(lu, 0.0) + w
             if not acc:
-                return None
+                if not join:
+                    return None
+                acc = dict.fromkeys(all_k, 0.0)
+                acc.pop(p, None)
+                if not acc:
+                    return None
+            s_v, w_vv = s_l[v], self_l[v]
+            if join or p < 0:
+                leave = 0.0
+            else:
+                sig_p, lh_p = sigma[p], lam_hat[p]
+                sig_p2 = sig_p - w_vv - eta * (s_v - w_own) - (1.0 - eta) * w_own
+                lh_p2 = lh_p - w_vv - s_v / 2.0
+                leave = (lh_p2 if sig_p2 <= lam else lam / sig_p2 * lh_p2) - (
+                    lh_p if sig_p <= lam else lam / sig_p * lh_p
+                )
+            best_q, best_gain, best_w = -1, -math.inf, 0.0
+            for q in sorted(acc):
+                w_vq = acc[q]
+                sig_q, lh_q = sigma[q], lam_hat[q]
+                sig_q2 = sig_q + w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq
+                lh_q2 = lh_q + w_vv + s_v / 2.0
+                gain = (
+                    leave
+                    + (lh_q2 if sig_q2 <= lam else lam / sig_q2 * lh_q2)
+                    - (lh_q if sig_q <= lam else lam / sig_q * lh_q)
+                )
+                if gain > best_gain:
+                    best_q, best_gain, best_w = q, gain, w_vq
+            return best_q, best_gain, best_w, w_own
 
-        s_v = self._s_l[v]
-        w_vv = self._self_l[v]
-        eta, lam = self.eta, self.lam
-        if join_only or p < 0:
-            leave = 0.0
-        else:
-            sig_p, lh_p = sigma[p], lam_hat[p]
-            sig_p2 = sig_p - w_vv - eta * (s_v - w_own) - (1.0 - eta) * w_own
-            lh_p2 = lh_p - w_vv - s_v / 2.0
-            leave = self._clip1(sig_p2, lh_p2) - self._clip1(sig_p, lh_p)
+        def move(v: int, q: int, w_vq: float, w_vp: float) -> None:
+            """:meth:`move` on the Python copies."""
+            p = labels[v]
+            if p == q:
+                return
+            s_v, w_vv = s_l[v], self_l[v]
+            if p >= 0:
+                sigma[p] -= w_vv + eta * (s_v - w_vp) + (1.0 - eta) * w_vp
+                lam_hat[p] -= w_vv + s_v / 2.0
+            sigma[q] += w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq
+            lam_hat[q] += w_vv + s_v / 2.0
+            labels[v] = q
 
-        best_q, best_gain, best_w = -1, -np.inf, 0.0
-        for q in sorted(acc):  # ascending labels -> first-max tie-break
-            w_vq = acc[q]
-            sig_q, lh_q = sigma[q], lam_hat[q]
-            sig_q2 = sig_q + w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq
-            lh_q2 = lh_q + w_vv + s_v / 2.0
-            gain = leave + self._clip1(sig_q2, lh_q2) - self._clip1(sig_q, lh_q)
-            if gain > best_gain:
-                best_q, best_gain, best_w = q, gain, w_vq
-        return best_q, best_gain, best_w, w_own
+        for v in np.asarray(join_nodes).tolist():
+            r = best(v, True)
+            if r is not None:
+                move(v, r[0], r[2], r[3])
+
+        opt = np.asarray(opt_nodes).tolist()
+        sweeps = 0
+        delta = math.inf
+        while delta >= eps and sweeps < max_sweeps:
+            delta = 0.0
+            for v in opt:
+                r = best(v, False)
+                if r is not None and r[1] > 0.0:
+                    move(v, r[0], r[2], r[3])
+                    delta += r[1]
+            sweeps += 1
+
+        self.labels[:] = labels
+        self.sigma[:] = sigma
+        self.lam_hat[:] = lam_hat
+        return sweeps
 
     # -- mutation ----------------------------------------------------------
-    def move(
-        self, v: int, q: int, w_vq: float | None = None, w_vp: float | None = None
-    ) -> None:
+    def move(self, v: int, q: int, w_vq: float | None = None) -> None:
         """Move v to community q, updating (σ, Λ̂) of source and target only
-        (Lemma 1 guarantees other communities are unaffected). ``w_vq``
-        and ``w_vp`` may be passed through from :meth:`best_move` to
-        skip recomputing the community weights."""
+        (Lemma 1 guarantees other communities are unaffected). ``w_vq``,
+        v's weight into q, is computed from the graph when not given."""
         p = int(self.labels[v])
         if p == q:
             return
         s_v = float(self._s[v])
         w_vv = float(self.adj.self_w[v])
         if p >= 0:
-            if w_vp is None:
-                w_vp = self.own_weight(v)
+            w_vp = self.own_weight(v)
             self.sigma[p] -= w_vv + self.eta * (s_v - w_vp) + (1.0 - self.eta) * w_vp
             self.lam_hat[p] -= w_vv + s_v / 2.0
         if w_vq is None:

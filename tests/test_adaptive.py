@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
-from repro.sim.adaptive import adaptive_simulation
+from repro.sim.adaptive import adaptive_simulation, split_steps, step_graphs
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ class TestStructure:
 
     def test_columns(self, sim):
         assert set(sim.columns) == {
-            "step", "variant", "algo", "seconds", "norm_throughput", "gamma",
+            "step", "variant", "algo", "seconds", "upkeep_s", "norm_throughput", "gamma",
         }
 
     def test_algo_tags(self, sim):
@@ -54,6 +54,9 @@ class TestBehaviour:
         assert sim["gamma"].between(0, 1).all()
         assert (sim["norm_throughput"] > 0).all()
         assert (sim["seconds"] >= 0).all()
+        assert (sim["upkeep_s"] > 0).all()
+        # One upkeep per step, shared by the step's variants.
+        assert (sim.groupby("step")["upkeep_s"].nunique() == 1).all()
 
     def test_a_steps_faster_than_g_steps(self, sim):
         a_mean = sim[sim.algo == "A"]["seconds"].mean()
@@ -69,9 +72,24 @@ class TestBehaviour:
         kw = dict(k=4, eta=2.0, step_blocks=2, split=0.8, tau2_steps=(3,), include_pure_g=False)
         a = adaptive_simulation(stream, **kw)
         b = adaptive_simulation(stream, **kw)
-        pd.testing.assert_frame_equal(
-            a.drop(columns="seconds"), b.drop(columns="seconds")
+        timings = ["seconds", "upkeep_s"]
+        pd.testing.assert_frame_equal(a.drop(columns=timings), b.drop(columns=timings))
+
+    def test_trailing_partial_window_evaluated(self, stream):
+        """4 evaluation blocks in steps of 3: the last block is a step of
+        its own, and its transactions are in the final graph."""
+        blocks = np.sort(stream["block"].unique())
+        n_eval = len(blocks) - int(len(blocks) * 0.6)
+        assert n_eval % 3 != 0
+        sim = adaptive_simulation(
+            stream, k=4, eta=2.0, step_blocks=3, split=0.6, tau2_steps=(), include_pure_g=False
         )
+        assert sim["step"].tolist() == list(range(-(-n_eval // 3)))
+        hist, steps = split_steps(stream, step_blocks=3, split=0.6)
+        assert [s["block"].nunique() for s in steps] == [3] * (n_eval // 3) + [n_eval % 3]
+        assert sum(map(len, steps)) + len(hist) == len(stream)
+        *_, (adj, _) = step_graphs(hist, steps)
+        assert adj.total_weight == pytest.approx(len(stream))
 
     def test_empty_eval_split_rejected(self, stream):
         with pytest.raises(ValueError):

@@ -10,6 +10,12 @@ fails here.
 
 Labels are hashed as little-endian int64; G-TxAllo runs at k=20, η=2 with
 λ = |T|/k.
+
+``ADAPTIVE`` pins the rows of the adaptive simulation the same way: every
+column except the timings, floats written as exact hex. The digests were
+recorded while each step still rebuilt the graph from the whole
+cumulative stream, so the incremental graph upkeep and the list-backed
+TxAllo sweep must reproduce that run exactly.
 """
 import hashlib
 
@@ -20,6 +26,7 @@ from repro.baselines import metis_like
 from repro.chain import EthParams, eth_transactions_pandas
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.louvain import louvain
+from repro.sim.adaptive import adaptive_simulation
 from repro.txallo import g_txallo
 
 K = 20
@@ -62,3 +69,35 @@ def graphs(adj):
 @pytest.mark.parametrize("algo", sorted(ALLOCATORS))
 def test_labels_match_golden_digest(graphs, graph, algo):
     assert _digest(ALLOCATORS[algo](graphs[graph])) == GOLDEN[graph][algo]
+
+
+ADAPTIVE = {
+    # The adaptive-a benchmark's configuration: one block per step, A only.
+    "sf0.025-seed7": (
+        EthParams(sf=0.025, seed=7),
+        dict(k=K, eta=2.0, step_blocks=1, tau2_steps=(), include_pure_g=False),
+        "25ee226397cd2c7432867ecfdc19de726b93ebc584031d1233adaf94ecef7998",
+    ),
+    # tests/test_adaptive.py's stream: hybrid and pure-G variants too.
+    "sf0.005-seed9": (
+        EthParams(sf=0.005, seed=9),
+        dict(k=6, eta=2.0, step_blocks=1, split=0.7, tau2_steps=(2,), include_pure_g=True),
+        "dd5690ea7cb82973558cb53e8b03c823862ee0987b9fffae33f413c11f5dde0b",
+    ),
+}
+ROW_COLUMNS = ["step", "variant", "algo", "norm_throughput", "gamma"]
+
+
+def _rows_digest(rows) -> str:
+    h = hashlib.sha256()
+    for rec in rows[ROW_COLUMNS].itertuples(index=False):
+        h.update("|".join(v.hex() if isinstance(v, float) else str(v) for v in rec).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("stream", sorted(ADAPTIVE))
+def test_adaptive_rows_match_golden_digest(stream):
+    params, kw, want = ADAPTIVE[stream]
+    rows = adaptive_simulation(eth_transactions_pandas(params), **kw)
+    assert _rows_digest(rows) == want

@@ -113,8 +113,9 @@ class TestGainMath:
 
 
 class TestBestMoveFastPath:
-    """The fused pure-Python `best_move` must make bit-identical
-    decisions to the numpy reference path (candidates + Eq. 8)."""
+    """The fused `sweep` kernel's best move for each node must be the
+    argmax of the numpy reference path (candidates + Eq. 8, or Eq. 6 in
+    the join phase), and its state must stay the from-scratch state."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("eta,lam_scale", [(2.0, 1.0), (6.0, 0.3)])
@@ -127,24 +128,26 @@ class TestBestMoveFastPath:
         for v in rng.integers(0, adj.n, 100):
             v = int(v)
             cands, w_vq = state.neighbor_communities(v)
-            fast = state.best_move(v)
+            gains = state.move_gain(v, cands, w_vq) if cands.size else np.zeros(0)
+            before, lam_before = state.labels[v], state.throughput()
+            assert state.sweep([], [v], eps=0.0, max_sweeps=1) == 1
             if cands.size == 0:
-                assert fast is None
+                assert state.labels[v] == before
                 continue
-            gains = state.move_gain(v, cands, w_vq)
             j = int(np.argmax(gains))
-            q, gain, w, w_own = fast
-            assert q == int(cands[j])
-            assert gain == pytest.approx(float(gains[j]), abs=1e-10)
-            assert w == pytest.approx(float(w_vq[j]))
-            assert w_own == pytest.approx(state.own_weight(v))
+            if gains[j] > 0.0:
+                assert state.labels[v] == cands[j]
+                assert state.throughput() - lam_before == pytest.approx(float(gains[j]), abs=1e-8)
+            else:
+                assert state.labels[v] == before
+                assert state.throughput() == lam_before
+        _assert_state_consistent(state)
 
     def test_join_only_matches_join_gain(self, adj):
         k = 4
         labels = np.full(adj.n, -1)
         labels[: adj.n // 3] = np.arange(adj.n // 3) % k
         state = TxAlloState(adj, labels, k, eta=2.0, lam=adj.total_weight / k)
-        rng = np.random.default_rng(2)
         for v in np.nonzero(labels < 0)[0][:50]:
             v = int(v)
             cands, w_vq = state.neighbor_communities(v)
@@ -152,9 +155,19 @@ class TestBestMoveFastPath:
                 cands, w_vq = np.arange(k), np.zeros(k)
             gains = state.join_gain(v, cands, w_vq)
             j = int(np.argmax(gains))
-            q, gain, w, _ = state.best_move(v, join_only=True)
-            assert q == int(cands[j])
-            assert gain == pytest.approx(float(gains[j]), abs=1e-10)
+            lam_before = state.throughput()
+            assert state.sweep([v], [], eps=0.0, max_sweeps=0) == 0
+            assert state.labels[v] == cands[j]
+            assert state.throughput() - lam_before == pytest.approx(float(gains[j]), abs=1e-8)
+        _assert_state_consistent(state)
+
+    def test_stops_below_eps_and_at_max_sweeps(self, adj):
+        k = 4
+        labels = np.random.default_rng(5).integers(0, k, adj.n)
+        state = TxAlloState(adj, labels, k, eta=2.0, lam=adj.total_weight / k)
+        assert state.sweep([], np.arange(adj.n), eps=0.0, max_sweeps=2) == 2
+        # eps above any sweep's total gain: exactly one sweep runs.
+        assert state.sweep([], np.arange(adj.n), eps=np.inf, max_sweeps=50) == 1
 
 
 class TestNeighborCommunities:
